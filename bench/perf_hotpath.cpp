@@ -14,11 +14,17 @@
  * The stream, seeds, and salts are fixed: the reported state_hash
  * (tags + metadata + counters after the run) must be identical across
  * hosts and across refactors of the access engine — only the
- * accesses/sec may change. `UBIK_JOBS` / `UBIK_CACHE_DIR` do not apply
- * here (no sweep, no cacheable results); they compose with the sweep
- * benches this harness exists to speed up.
+ * accesses/sec may change. `--expect label=hash` turns that into a
+ * check (exit 1 on a mismatch); the ctest suite pins every config's
+ * hash that way at two small geometries. `--trials N` repeats each
+ * configuration on a fresh scheme and reports the median, minimum
+ * and interquartile range of accesses/sec; a state hash that differs
+ * between trials is an error. `UBIK_JOBS` / `UBIK_CACHE_DIR` do not
+ * apply here (no sweep, no cacheable results); they compose with the
+ * sweep benches this harness exists to speed up.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -44,15 +50,61 @@ using namespace ubik;
 
 constexpr std::uint32_t kApps = 6;
 
-/** One measured configuration. */
+/** One measured configuration (one trial, or the trials' summary). */
 struct Row
 {
     std::string label;
     double elapsedSec = 0;
-    double accPerSec = 0;
+    double accPerSec = 0;    ///< median over trials
+    double accPerSecMin = 0; ///< slowest trial
+    double accPerSecIqr = 0; ///< interquartile range over trials
     double hitRate = 0;
     std::uint64_t stateHash = 0;
 };
+
+/** Linear-interpolated quantile of an ascending-sorted sample. */
+double
+quantile(const std::vector<double> &sorted, double q)
+{
+    double pos = q * static_cast<double>(sorted.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(pos);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) *
+                            (sorted[hi] - sorted[lo]);
+}
+
+/**
+ * Run one configuration `trials` times and summarize: median elapsed
+ * and accesses/sec, min and IQR of accesses/sec. Every trial must
+ * reach the same state hash (the engine is deterministic); a
+ * difference is fatal.
+ */
+template <typename RunOnce>
+Row
+runTrials(std::int64_t trials, RunOnce &&run_once)
+{
+    std::vector<double> rates, elapsed;
+    Row first;
+    for (std::int64_t t = 0; t < trials; t++) {
+        Row r = run_once();
+        if (t == 0)
+            first = r;
+        else if (r.stateHash != first.stateHash)
+            fatal("%s: state hash %016" PRIx64 " in trial %lld differs "
+                  "from trial 0's %016" PRIx64,
+                  r.label.c_str(), r.stateHash,
+                  static_cast<long long>(t), first.stateHash);
+        rates.push_back(r.accPerSec);
+        elapsed.push_back(r.elapsedSec);
+    }
+    std::sort(rates.begin(), rates.end());
+    std::sort(elapsed.begin(), elapsed.end());
+    first.accPerSec = quantile(rates, 0.5);
+    first.accPerSecMin = rates.front();
+    first.accPerSecIqr = quantile(rates, 0.75) - quantile(rates, 0.25);
+    first.elapsedSec = quantile(elapsed, 0.5);
+    return first;
+}
 
 /**
  * Deterministic address stream: apps round-robin, each app uniform
@@ -224,7 +276,7 @@ runUmon(const std::vector<Addr> &warm, const std::vector<Addr> &roi,
 void
 writeJson(const std::string &path, const std::vector<Row> &rows,
           std::uint64_t accesses, std::uint64_t llc_lines,
-          std::uint64_t seed)
+          std::uint64_t seed, std::int64_t trials)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -233,15 +285,19 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
     std::fprintf(f, "  \"accesses\": %" PRIu64 ",\n", accesses);
     std::fprintf(f, "  \"llc_lines\": %" PRIu64 ",\n", llc_lines);
     std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", seed);
+    std::fprintf(f, "  \"trials\": %lld,\n",
+                 static_cast<long long>(trials));
     std::fprintf(f, "  \"configs\": [\n");
     for (std::size_t i = 0; i < rows.size(); i++) {
         const Row &r = rows[i];
         std::fprintf(f,
                      "    {\"label\": \"%s\", \"accesses_per_sec\": "
-                     "%.1f, \"elapsed_sec\": %.6f, \"hit_rate\": %.6f, "
+                     "%.1f, \"min_accesses_per_sec\": %.1f, "
+                     "\"iqr_accesses_per_sec\": %.1f, "
+                     "\"elapsed_sec\": %.6f, \"hit_rate\": %.6f, "
                      "\"state_hash\": \"%016" PRIx64 "\"}%s\n",
-                     r.label.c_str(), r.accPerSec, r.elapsedSec,
-                     r.hitRate, r.stateHash,
+                     r.label.c_str(), r.accPerSec, r.accPerSecMin,
+                     r.accPerSecIqr, r.elapsedSec, r.hitRate, r.stateHash,
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -266,10 +322,18 @@ main(int argc, char **argv)
                           "address-stream seed");
     auto &out = cli.flag("out", "BENCH_hotpath.json",
                          "output JSON path");
+    auto &trials = cli.flag("trials", static_cast<std::int64_t>(1),
+                            "timed runs per configuration (median, "
+                            "min and IQR reported)");
+    auto &expect = cli.multiFlag(
+        "expect", "label=hash: exit 1 unless that config's state hash "
+                  "matches (repeatable)");
     cli.parse(argc, argv);
 
     if (accesses.value <= 0 || llcLines.value < 256)
         fatal("need --accesses > 0 and --llc-lines >= 256");
+    if (trials.value < 1 || trials.value > 1000)
+        fatal("need 1 <= --trials <= 1000");
     std::uint64_t n = static_cast<std::uint64_t>(accesses.value);
     std::uint64_t lines = static_cast<std::uint64_t>(llcLines.value);
 
@@ -296,27 +360,51 @@ main(int argc, char **argv)
     };
 
     std::printf("# perf_hotpath: %" PRIu64 " timed accesses, %" PRIu64
-                " warmup, %" PRIu64 " LLC lines\n",
-                n, warmN, lines);
-    std::printf("%-16s %14s %10s %9s %18s\n", "config", "accesses/sec",
-                "elapsed", "hit rate", "state hash");
+                " warmup, %" PRIu64 " LLC lines, %lld trial(s)\n",
+                n, warmN, lines, static_cast<long long>(trials.value));
+    std::printf("%-16s %14s %14s %12s %9s %18s\n", "config",
+                "median acc/s", "min acc/s", "IQR acc/s", "hit rate",
+                "state hash");
+    auto print = [](const Row &r) {
+        std::printf("%-16s %14.0f %14.0f %12.0f %9.4f   %016" PRIx64 "\n",
+                    r.label.c_str(), r.accPerSec, r.accPerSecMin,
+                    r.accPerSecIqr, r.hitRate, r.stateHash);
+    };
 
     std::vector<Row> rows;
     for (const Config &c : configs) {
-        Row r = runScheme(c.label, c.scheme, c.array, warm, roi, lines);
-        std::printf("%-16s %14.0f %9.3fs %9.4f   %016" PRIx64 "\n",
-                    r.label.c_str(), r.accPerSec, r.elapsedSec,
-                    r.hitRate, r.stateHash);
-        rows.push_back(std::move(r));
+        rows.push_back(runTrials(trials.value, [&] {
+            return runScheme(c.label, c.scheme, c.array, warm, roi, lines);
+        }));
+        print(rows.back());
     }
-    Row u = runUmon(warm, roi, lines);
-    std::printf("%-16s %14.0f %9.3fs %9.4f   %016" PRIx64 "\n",
-                u.label.c_str(), u.accPerSec, u.elapsedSec, u.hitRate,
-                u.stateHash);
-    rows.push_back(std::move(u));
+    rows.push_back(
+        runTrials(trials.value, [&] { return runUmon(warm, roi, lines); }));
+    print(rows.back());
 
     writeJson(out.value, rows, n, lines,
-              static_cast<std::uint64_t>(seed.value));
+              static_cast<std::uint64_t>(seed.value), trials.value);
     std::printf("# wrote %s\n", out.value.c_str());
-    return 0;
+
+    int mismatches = 0;
+    for (const std::string &e : expect.value) {
+        std::size_t eq = e.find('=');
+        if (eq == std::string::npos)
+            fatal("--expect wants label=hash, got '%s'", e.c_str());
+        std::string label = e.substr(0, eq);
+        std::string want = e.substr(eq + 1);
+        auto it = std::find_if(rows.begin(), rows.end(), [&](const Row &r) {
+            return r.label == label;
+        });
+        if (it == rows.end())
+            fatal("--expect: no config named '%s'", label.c_str());
+        char got[17];
+        std::snprintf(got, sizeof(got), "%016" PRIx64, it->stateHash);
+        if (want != got) {
+            std::fprintf(stderr, "state hash mismatch: %s is %s, expected %s\n",
+                         label.c_str(), got, want.c_str());
+            mismatches++;
+        }
+    }
+    return mismatches == 0 ? 0 : 1;
 }

@@ -54,7 +54,18 @@ struct Candidate
      * relocate into this slot; -1 for first-level candidates.
      */
     std::int32_t parent;
+
+    /**
+     * Bank (zcache way) the slot lies in, recorded by the zcache walk
+     * so expanding the node can skip its own bank without comparing
+     * slots. Occupies what would otherwise be padding; other arrays
+     * leave it 0.
+     */
+    std::uint32_t bank = 0;
 };
+
+static_assert(sizeof(Candidate) == 16,
+              "Candidate's bank must fit in the struct's padding");
 
 /** Abstract cache array: SoA slot storage plus placement geometry. */
 class CacheArray

@@ -1,5 +1,7 @@
 #include "cache/scheme.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace ubik {
@@ -120,28 +122,27 @@ SharedLru::missInstall(Addr addr, const AccessContext &ctx,
 {
     // Globally oldest candidate; empty slots win outright. The
     // selection is fused into the walk: the visitor fires per
-    // candidate in ascending order, so "first empty wins, else
-    // running strict-minimum" picks exactly the candidate the
-    // original post-walk scan did.
+    // candidate in ascending order and folds it in with conditional
+    // moves — the least empty index, and a running strict minimum
+    // over valid lines — so the pick is exactly the original
+    // post-walk scan's "first empty wins, else oldest, ties to the
+    // lower index".
+    std::size_t empty = kNoCandidate;
     std::size_t best = 0;
     std::uint64_t best_touch = ~0ull;
-    bool found_empty = false;
     arrayVictimsVisit(addr, candScratch_,
                       [&](std::size_t i, const LineMeta &line) {
-                          if (found_empty)
-                              return;
-                          if (!line.valid) {
-                              best = i;
-                              best_touch = 0;
-                              found_empty = true;
-                              return;
-                          }
-                          if (line.lastTouch < best_touch) {
-                              best_touch = line.lastTouch;
-                              best = i;
-                          }
+                          const bool valid = line.valid != 0;
+                          const std::uint64_t touch = line.lastTouch;
+                          empty = std::min(empty,
+                                           pick(valid, kNoCandidate, i));
+                          const bool older = valid & (touch < best_touch);
+                          best = pick(older, i, best);
+                          best_touch = pick(older, touch, best_touch);
                       });
     ubik_assert(!candScratch_.empty());
+    if (empty != kNoCandidate)
+        best = empty;
 
     noteEviction(candScratch_[best].slot, out);
     std::uint64_t slot = arrayInstall(addr, candScratch_, best);

@@ -32,6 +32,19 @@
 
 namespace ubik {
 
+/**
+ * `c ? a : b` through a mask instead of a branch. Victim selection
+ * folds ~52 candidates per miss, and which one wins is data the host
+ * cannot predict; written as plain ternaries, GCC emits branches.
+ */
+template <typename T>
+inline T
+pick(bool c, T a, T b)
+{
+    const T m = static_cast<T>(0) - static_cast<T>(c);
+    return (a & m) | (b & ~m);
+}
+
 /** Per-access inputs from the accessing core. */
 struct AccessContext
 {
@@ -184,6 +197,9 @@ class PartitionScheme
         for (std::size_t i = 0; i < out.size(); i++)
             visit(i, meta[out[i].slot]);
     }
+
+    /** "No such candidate" in the schemes' victim-selection scans. */
+    static constexpr std::size_t kNoCandidate = ~std::size_t(0);
 
     std::uint64_t
     arrayInstall(Addr addr, const std::vector<Candidate> &cands,

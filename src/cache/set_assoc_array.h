@@ -60,7 +60,7 @@ class SetAssocArray final : public CacheArray
         out.clear();
         std::uint64_t base = probeBase(addr);
         for (std::uint32_t w = 0; w < ways_; w++)
-            out.push_back({base + w, -1});
+            out.push_back({base + w, -1, 0});
     }
 
     std::uint64_t install(Addr addr, const std::vector<Candidate> &cands,

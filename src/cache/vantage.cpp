@@ -1,5 +1,6 @@
 #include "cache/vantage.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,7 +12,8 @@ Vantage::Vantage(std::unique_ptr<CacheArray> array,
                  std::uint32_t num_partitions, double unmanaged_frac)
     : PartitionScheme(std::move(array), num_partitions),
       unmanagedFrac_(unmanaged_frac),
-      effTargets_(num_partitions, 0)
+      effTargets_(num_partitions, 0), excess_(num_partitions, 0),
+      oldestTouch_(num_partitions, 0), oldestIdx_(num_partitions, 0)
 {
     ubik_assert(unmanaged_frac > 0 && unmanaged_frac < 0.5);
     unmanagedTarget_ = static_cast<std::uint64_t>(
@@ -42,6 +44,17 @@ Vantage::onHit(std::uint64_t slot, const AccessContext &ctx)
     }
 }
 
+void
+Vantage::demote(LineMeta &line)
+{
+    actual_[line.part]--;
+    excess_[line.part]--;
+    actual_[0]++;
+    excess_[0]++;
+    line.part = 0;
+    demotions_++;
+}
+
 std::size_t
 Vantage::demoteRound()
 {
@@ -60,9 +73,7 @@ Vantage::demoteRound()
     std::uint64_t best_touch = ~0ull;
     for (std::size_t i = 0; i < ncand; i++) {
         const LineMeta &line = meta[candScratch_[i].slot];
-        std::int64_t excess =
-            static_cast<std::int64_t>(actual_[line.part]) -
-            static_cast<std::int64_t>(effTargets_[line.part]);
+        std::int64_t excess = excess_[line.part];
         bool better = line.valid != 0 && line.part != 0 &&
                       excess >= 0 &&
                       (excess > best_excess ||
@@ -76,90 +87,104 @@ Vantage::demoteRound()
     }
     if (best == ncand)
         return ncand; // no demotable candidate
-    LineMeta &line = array_->meta(candScratch_[best].slot);
-    actual_[line.part]--;
-    actual_[0]++;
-    line.part = 0;
-    demotions_++;
+    demote(array_->meta(candScratch_[best].slot));
     return best;
+}
+
+std::size_t
+Vantage::walkOldestPerPartition(Addr addr)
+{
+    std::uint64_t *oldest_touch = oldestTouch_.data();
+    std::size_t *oldest_idx = oldestIdx_.data();
+    for (PartId p = 0; p < numParts_; p++) {
+        oldest_touch[p] = ~0ull;
+        oldest_idx[p] = kNoCandidate;
+    }
+    std::size_t empty = kNoCandidate;
+    arrayVictimsVisit(addr, candScratch_,
+                      [&](std::size_t i, const LineMeta &line) {
+                          // Visits ascend: the first empty is the
+                          // least index, and a strict `<` keeps each
+                          // partition's first oldest candidate.
+                          empty = std::min(
+                              empty, pick(line.valid != 0, kNoCandidate, i));
+                          const PartId p = line.part;
+                          const std::uint64_t touch = line.lastTouch;
+                          const std::uint64_t ot = oldest_touch[p];
+                          const bool older = touch < ot;
+                          oldest_touch[p] = pick(older, touch, ot);
+                          oldest_idx[p] = pick(older, i, oldest_idx[p]);
+                      });
+    ubik_assert(!candScratch_.empty());
+    return empty;
 }
 
 std::uint64_t
 Vantage::missInstall(Addr addr, const AccessContext &ctx,
                      AccessOutcome &out)
 {
-    // The walk and the victim-selection scans are one fused pass: the
-    // visitor fires per candidate while the walk holds its record,
-    // accumulating everything the common miss needs — the first empty
-    // candidate, the first demotion round's target (most over-target,
-    // then oldest eligible line), and the oldest unmanaged candidate
-    // — instead of the three-to-four full re-scans the staged
-    // formulation performed. The staged semantics are reconstructed
-    // exactly below: an empty candidate discards the other
-    // accumulators unused (the staged code installed before scanning
+    // The walk and the victim-selection scans are one fused pass
+    // (walkOldestPerPartition): the walk hands each record to a
+    // visitor that keeps the first empty candidate and every
+    // partition's oldest candidate, and everything the common miss
+    // needs follows from those few winners — the oldest unmanaged
+    // candidate is partition 0's, and the first demotion round's
+    // target (most over-target partition, then oldest line, then
+    // lowest index) is the best per-partition winner by (excess,
+    // touch, index) — instead of the three-to-four full re-scans the
+    // staged formulation performed. The staged semantics are
+    // reconstructed exactly below: an empty candidate discards the
+    // tables unused (the staged code installed before scanning
     // them), freshly demoted lines join the unmanaged choice by
     // explicit (touch, index) comparison — precisely the order the
     // original post-demotion scan selected by — and the rare second
-    // demotion round falls back to a real rescan.
-    constexpr std::size_t kNone = ~std::size_t(0);
-    std::size_t empty_best = kNone;
-    std::size_t demote_best = kNone;
-    std::int64_t demote_excess = -1;
-    std::uint64_t demote_touch = ~0ull;
-    std::size_t best = kNone;
-    std::uint64_t best_touch = ~0ull;
-    arrayVictimsVisit(
-        addr, candScratch_,
-        [&](std::size_t i, const LineMeta &line) {
-            if (!line.valid) {
-                if (empty_best == kNone)
-                    empty_best = i;
-                return;
-            }
-            std::int64_t excess =
-                static_cast<std::int64_t>(actual_[line.part]) -
-                static_cast<std::int64_t>(effTargets_[line.part]);
-            bool demotable = line.part != 0 && excess >= 0 &&
-                             (excess > demote_excess ||
-                              (excess == demote_excess &&
-                               line.lastTouch < demote_touch));
-            if (demotable) {
-                demote_best = i;
-                demote_excess = excess;
-                demote_touch = line.lastTouch;
-            }
-            bool unmanaged =
-                line.part == 0 && line.lastTouch < best_touch;
-            if (unmanaged) {
-                best = i;
-                best_touch = line.lastTouch;
-            }
-        });
-    ubik_assert(!candScratch_.empty());
+    // demotion round falls back to a real rescan. (The staged scans
+    // compared touches against a ~0 sentinel; lastTouch counts
+    // accesses and never reaches it.)
+    //
+    // Every partition's excess over its effective target is
+    // tabulated once per miss; demotions below keep the table
+    // current for the rescans.
+    for (PartId p = 0; p < numParts_; p++)
+        excess_[p] = static_cast<std::int64_t>(actual_[p]) -
+                     static_cast<std::int64_t>(effTargets_[p]);
 
+    const std::size_t empty_best = walkOldestPerPartition(addr);
     const LineMeta *meta = array_->metaData();
     const std::size_t ncand = candScratch_.size();
 
     // Empty slots first: no eviction needed while the cache fills.
-    if (empty_best != kNone) {
+    if (empty_best != kNoCandidate) {
         std::uint64_t slot = arrayInstall(addr, candScratch_, empty_best);
         noteInstall(slot, ctx);
         return slot;
     }
-    if (demote_best == kNone)
-        demote_best = ncand;
-    if (best == kNone)
-        best = ncand;
+    std::size_t demote_best = ncand;
+    std::int64_t demote_excess = -1;
+    std::uint64_t demote_touch = ~0ull;
+    for (PartId p = 1; p < numParts_; p++) {
+        const std::size_t idx = oldestIdx_[p];
+        const std::int64_t ex = excess_[p];
+        const std::uint64_t touch = oldestTouch_[p];
+        if (idx == kNoCandidate || ex < 0)
+            continue;
+        if (ex > demote_excess ||
+            (ex == demote_excess &&
+             (touch < demote_touch ||
+              (touch == demote_touch && idx < demote_best)))) {
+            demote_best = idx;
+            demote_excess = ex;
+            demote_touch = touch;
+        }
+    }
+    std::size_t best = oldestIdx_[0] == kNoCandidate ? ncand : oldestIdx_[0];
+    std::uint64_t best_touch = oldestTouch_[0];
 
     // Stage 1: demotions keep the unmanaged region fed (up to two
     // rounds, exactly as the staged version ran demotePass(2)).
     std::size_t d1 = ncand, d2 = ncand;
     if (actual_[0] < unmanagedTarget_ && demote_best != ncand) {
-        LineMeta &line = array_->meta(candScratch_[demote_best].slot);
-        actual_[line.part]--;
-        actual_[0]++;
-        line.part = 0;
-        demotions_++;
+        demote(array_->meta(candScratch_[demote_best].slot));
         d1 = demote_best;
         if (actual_[0] < unmanagedTarget_)
             d2 = demoteRound(); // rare second round: real rescan
@@ -193,9 +218,7 @@ Vantage::missInstall(Addr addr, const AccessContext &ctx,
         best_touch = ~0ull;
         for (std::size_t i = 0; i < candScratch_.size(); i++) {
             const LineMeta &line = meta[candScratch_[i].slot];
-            std::int64_t excess =
-                static_cast<std::int64_t>(actual_[line.part]) -
-                static_cast<std::int64_t>(effTargets_[line.part]);
+            std::int64_t excess = excess_[line.part];
             if (line.part == 0 || excess < 0)
                 continue;
             if (excess > best_excess ||
@@ -224,9 +247,7 @@ Vantage::missInstall(Addr addr, const AccessContext &ctx,
         best_touch = ~0ull;
         for (std::size_t i = 0; i < candScratch_.size(); i++) {
             const LineMeta &line = meta[candScratch_[i].slot];
-            std::int64_t excess =
-                static_cast<std::int64_t>(actual_[line.part]) -
-                static_cast<std::int64_t>(effTargets_[line.part]);
+            std::int64_t excess = excess_[line.part];
             if (excess > best_excess ||
                 (excess == best_excess && line.lastTouch < best_touch)) {
                 best_excess = excess;

@@ -79,9 +79,46 @@ class Vantage : public PartitionScheme
      */
     std::size_t demoteRound();
 
+    /** Move a candidate's line into the unmanaged region, keeping
+     *  the sizes and the per-miss excess table current. */
+    void demote(LineMeta &line);
+
+    /**
+     * Walk addr's victim candidates into candScratch_ and fold each
+     * one, as the walk reaches it, into per-partition accumulators:
+     * afterwards oldestIdx_[p] is the first candidate of partition p
+     * with the least lastTouch (kNoCandidate if p has none) and
+     * oldestTouch_[p] its lastTouch. Returns the least index of an
+     * empty candidate, or kNoCandidate; when one exists the tables
+     * are not meaningful (empty lines have no partition) and the
+     * miss installs there.
+     *
+     * Both selection rules of a miss — the oldest unmanaged line,
+     * and the most-over-target-then-oldest demotion — are
+     * lexicographic choices over (partition, lastTouch, index), so
+     * they can be taken over the few per-partition winners after the
+     * walk and come out exactly as a scan over all candidates would.
+     * Folding per partition keeps the per-candidate work one short
+     * conditional-move update, with no running (excess, touch)
+     * comparison chained from one candidate to the next.
+     */
+    std::size_t walkOldestPerPartition(Addr addr);
+
     double unmanagedFrac_;
     std::uint64_t unmanagedTarget_;
     std::vector<std::uint64_t> effTargets_;
+
+    /**
+     * Per-partition excess over effective target (actual minus
+     * target), tabulated at the start of each miss and updated by
+     * demote(); the demotion choice and the rescans read it instead
+     * of recomputing the difference per candidate.
+     */
+    std::vector<std::int64_t> excess_;
+
+    /** walkOldestPerPartition() results, one entry per partition. */
+    std::vector<std::uint64_t> oldestTouch_;
+    std::vector<std::size_t> oldestIdx_;
     std::uint64_t demotions_ = 0;
     std::uint64_t underTargetEvictions_ = 0;
 };

@@ -7,28 +7,39 @@
 
 namespace ubik {
 
-ZCacheArray::ZCacheArray(std::uint64_t num_lines, std::uint32_t ways,
-                         std::uint32_t candidates, std::uint64_t hash_salt)
-    : CacheArray(num_lines), ways_(ways), candidates_(candidates),
-      salt_(hash_salt)
+std::uint64_t
+ZCacheArray::checkedGeometry(std::uint64_t num_lines, std::uint32_t ways,
+                             std::uint32_t candidates)
 {
     if (ways == 0 || num_lines == 0 || num_lines % ways != 0)
         fatal("ZCacheArray: %lu lines not divisible into %u ways",
               static_cast<unsigned long>(num_lines), ways);
     if (candidates < ways)
         fatal("ZCacheArray: candidates (%u) < ways (%u)", candidates, ways);
-    bankLines_ = num_lines / ways;
-    std::uint32_t dedup_cap = 64;
-    while (dedup_cap < 4 * candidates)
-        dedup_cap *= 2;
-    dedup_.assign(dedup_cap, kDedupEmpty);
-    dedupMask_ = dedup_cap - 1;
-    probeSlots_.assign(ways, 0);
-    tagFp_.assign(num_lines, tagFingerprint(kInvalidAddr));
     if (num_lines >= std::numeric_limits<std::uint32_t>::max())
         fatal("ZCacheArray: %llu lines overflow the 32-bit way-slot "
-              "and walk-dedup tables",
+              "bank cache",
               static_cast<unsigned long long>(num_lines));
+    return num_lines;
+}
+
+ZCacheArray::ZCacheArray(std::uint64_t num_lines, std::uint32_t ways,
+                         std::uint32_t candidates, std::uint64_t hash_salt)
+    : CacheArray(checkedGeometry(num_lines, ways, candidates)),
+      ways_(ways), candidates_(candidates), bankLines_(num_lines / ways),
+      salt_(hash_salt)
+{
+    probeSlots_.assign(ways, 0);
+    tagFp_.assign(num_lines, tagFingerprint(kInvalidAddr));
+}
+
+std::uint64_t *
+ZCacheArray::walkBitmap(std::size_t words)
+{
+    static thread_local std::vector<std::uint64_t> bits;
+    if (bits.size() < words)
+        bits.resize(words, 0);
+    return bits.data();
 }
 
 void

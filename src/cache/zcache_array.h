@@ -21,6 +21,20 @@
  * walk of the same address reuses them. The memo is keyed on the
  * address and way slots are pure functions of (addr, salt), so a
  * stale entry can never yield wrong slots.
+ *
+ * At the scales the benchmarks and sweeps run (a few thousand lines,
+ * every record resident in the host's L2) the walk is bound by
+ * branches and instruction count, not memory, so its inner loop is
+ * written to take no data-dependent branch per child: each candidate
+ * carries its bank, so a node's children are visited in ascending
+ * way order with the node's own bank skipped by index arithmetic
+ * rather than a slot compare; duplicates are rejected by a
+ * per-thread visited bitmap (one bit per slot, cleared after each
+ * walk by revisiting the pushed slots) whose bit is folded into the
+ * push count; and candidates are written into a reused buffer. The
+ * candidate list and its order must equal those of the reference
+ * walk in tests/cache/zcache_test.cpp (breadth-first, hash-set
+ * dedup, children by re-hashing), which the tests check.
  */
 
 #pragma once
@@ -99,92 +113,115 @@ class ZCacheArray final : public CacheArray
     victimCandidatesVisit(Addr addr, std::vector<Candidate> &out,
                           Visit &&visit) const
     {
-        out.clear();
-        out.reserve(candidates_);
-
         // Breadth-first walk: level 0 is the incoming address's own W
         // positions; deeper levels are the alternative positions of
-        // the lines occupying earlier candidates. Duplicate slots
-        // (the walk graph can revisit) are rejected by a small
-        // open-addressed set (~1 L1 probe per push; the
-        // multiplicative hash only orders the scratch set and cannot
-        // affect which slots are walked). The walk reads one record
-        // per candidate and nothing else: validity and the ways<=4
-        // bank cache live in LineMeta.
+        // the lines occupying earlier candidates, and `out` itself is
+        // the FIFO. The walk reads one record per candidate and
+        // nothing else: validity and the ways<=4 bank cache live in
+        // LineMeta.
+        //
+        // The loop body takes no data-dependent branch per child. A
+        // child is always written to c[n] and counted only when it is
+        // fresh (not yet visited) and the walk is below its cap, so
+        // `out` keeps one spare entry for the uncounted write. Sizing
+        // it is a no-op on the steady-state full walk.
+        const std::uint32_t cap = candidates_;
+        out.resize(cap + 1);
+        Candidate *c = out.data();
         const LineMeta *meta = meta_.data();
-        std::uint32_t *dedup = dedup_.data();
-        const std::uint32_t mask = dedupMask_;
-        std::fill(dedup_.begin(), dedup_.end(), kDedupEmpty);
-        auto push = [&](std::uint64_t slot, std::int32_t parent) {
-            std::uint32_t s32 = static_cast<std::uint32_t>(slot);
-            std::uint32_t h = static_cast<std::uint32_t>(
-                                  slot * 0x9e3779b97f4a7c15ull >> 32) &
-                              mask;
-            while (dedup[h] != kDedupEmpty) {
-                if (dedup[h] == s32)
-                    return;
-                h = (h + 1) & mask;
-            }
-            dedup[h] = s32;
-            // The FIFO expansion reads this slot's record several
-            // iterations from now; start the load while the walk
-            // still has work to hide it behind.
-            __builtin_prefetch(&meta[slot], 0, 3);
-            out.push_back({slot, parent});
-        };
+        std::uint64_t *visited = walkBitmap((numLines() + 63) / 64);
+        const std::uint64_t bank_lines = bankLines_;
+        std::uint32_t n = 0;
 
+        // Level 0: the W own positions lie in distinct banks, so they
+        // are distinct and fit (candidates >= ways).
+        auto root = [&](std::uint64_t slot, std::uint32_t w) {
+            c[n++] = {slot, -1, w};
+            visited[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+            __builtin_prefetch(&meta[slot], 0, 3);
+        };
         if (probeAddr_ == addr) {
             // The lookup that preceded this miss already hashed the
             // address's own positions; reuse them.
-            for (std::uint32_t w = 0;
-                 w < ways_ && out.size() < candidates_; w++)
-                push(probeSlots_[w], -1);
+            for (std::uint32_t w = 0; w < ways_; w++)
+                root(probeSlots_[w], w);
         } else {
-            for (std::uint32_t w = 0;
-                 w < ways_ && out.size() < candidates_; w++)
-                push(waySlot(addr, w), -1);
+            for (std::uint32_t w = 0; w < ways_; w++)
+                root(waySlot(addr, w), w);
         }
 
-        // Expand in FIFO order; out itself is the queue.
-        const bool cached_banks = ways_ <= kAuxWays;
-        std::size_t head = 0;
-        for (; head < out.size() && out.size() < candidates_; head++) {
-            std::uint64_t own = out[head].slot;
-            const LineMeta &r = meta[own];
-            visit(head, r);
-            if (!r.valid) {
-                // Empty slot: nothing to relocate, no children.
-                continue;
-            }
-            if (cached_banks) {
-                // Children come from the bank cache written at
-                // install time, not from re-hashing the resident
-                // line — at 52 candidates that removes ~150 mix64
-                // evaluations and ~50 tag-array touches per miss.
-                for (std::uint32_t w = 0;
-                     w < ways_ && out.size() < candidates_; w++) {
-                    std::uint64_t alt =
-                        static_cast<std::uint64_t>(w) * bankLines_ +
-                        r.aux[w];
-                    if (alt == own)
-                        continue;
-                    push(alt, static_cast<std::int32_t>(head));
+        auto child = [&](std::uint64_t alt, std::uint32_t w,
+                         std::uint32_t parent) {
+            std::uint64_t &word = visited[alt >> 6];
+            const std::uint32_t bit = alt & 63;
+            const std::uint32_t fresh =
+                static_cast<std::uint32_t>(~word >> bit & 1u) &
+                (n < cap ? 1u : 0u);
+            c[n] = {alt, static_cast<std::int32_t>(parent), w};
+            word |= static_cast<std::uint64_t>(fresh) << bit;
+            // The FIFO expansion reads this slot's record several
+            // iterations from now; start the load while the walk
+            // still has work to hide it behind.
+            __builtin_prefetch(&meta[alt], 0, 3);
+            n += fresh;
+        };
+
+        // A node's children are its line's other W-1 positions, in
+        // ascending way order. A resident line sits at its own
+        // position in its slot's bank, so w == bank is exactly the
+        // alternative equal to the node itself: skipping that bank by
+        // index (w = k + (k >= bank)) replaces a slot compare.
+        std::uint32_t head = 0;
+        // Children come from the bank cache written at install time,
+        // not from re-hashing the resident line — at 52 candidates
+        // that removes ~150 mix64 evaluations and ~50 tag-array
+        // touches per miss.
+        auto expand_cached = [&](std::uint32_t kids) {
+            for (; head < n && n < cap; head++) {
+                const LineMeta &r = meta[c[head].slot];
+                const std::uint32_t bank = c[head].bank;
+                visit(head, r);
+                if (!r.valid)
+                    continue; // empty slot: nothing to relocate
+                for (std::uint32_t k = 0; k < kids; k++) {
+                    const std::uint32_t w = k + (k >= bank ? 1u : 0u);
+                    child(static_cast<std::uint64_t>(w) * bank_lines +
+                              r.aux[w],
+                          w, head);
                 }
-            } else {
-                // Wide geometries (> kAuxWays, tests only): re-hash.
-                Addr resident = tags_[own];
-                for (std::uint32_t w = 0;
-                     w < ways_ && out.size() < candidates_; w++) {
-                    std::uint64_t alt = waySlot(resident, w);
-                    if (alt == own)
-                        continue;
-                    push(alt, static_cast<std::int32_t>(head));
+            }
+        };
+        const std::uint32_t kids = ways_ - 1;
+        if (ways_ == kAuxWays) {
+            // The paper's geometry: a constant child count lets the
+            // compiler unroll the child loop.
+            expand_cached(kAuxWays - 1);
+        } else if (ways_ < kAuxWays) {
+            expand_cached(kids);
+        } else {
+            // Wide geometries (> kAuxWays, tests only): re-hash.
+            for (; head < n && n < cap; head++) {
+                const std::uint64_t own = c[head].slot;
+                const std::uint32_t bank = c[head].bank;
+                visit(head, meta[own]);
+                if (!meta[own].valid)
+                    continue;
+                const Addr resident = tags_[own];
+                for (std::uint32_t k = 0; k < kids; k++) {
+                    const std::uint32_t w = k + (k >= bank ? 1u : 0u);
+                    child(waySlot(resident, w), w, head);
                 }
             }
         }
         // Tail sweep: candidates the size cap kept un-expanded.
-        for (; head < out.size(); head++)
-            visit(head, meta[out[head].slot]);
+        for (; head < n; head++)
+            visit(head, meta[c[head].slot]);
+
+        // Every set bit belongs to a counted candidate, so zeroing
+        // their words leaves the bitmap clear for the next walk.
+        for (std::uint32_t i = 0; i < n; i++)
+            visited[c[i].slot >> 6] = 0;
+        out.resize(n);
     }
     std::uint64_t install(Addr addr, const std::vector<Candidate> &cands,
                           std::size_t victim_idx) override;
@@ -223,6 +260,15 @@ class ZCacheArray final : public CacheArray
     static constexpr std::uint32_t kAuxWays = 4;
 
     /**
+     * Refuse an impossible geometry (fatal) and return num_lines.
+     * Runs in the member-initializer list, ahead of the base class's
+     * per-line allocations.
+     */
+    static std::uint64_t checkedGeometry(std::uint64_t num_lines,
+                                         std::uint32_t ways,
+                                         std::uint32_t candidates);
+
+    /**
      * 32-bit fold of a tag for the probe fast path. Equal addresses
      * always have equal fingerprints, so gating the full-tag compare
      * on a fingerprint match cannot change any lookup result — a
@@ -243,18 +289,23 @@ class ZCacheArray final : public CacheArray
     std::vector<std::uint32_t, HugePageAllocator<std::uint32_t>> tagFp_;
 
     /**
-     * Replacement-walk dedup scratch: a small open-addressed slot set
-     * (power-of-two capacity a few times `candidates_`), cleared per
-     * walk. ~1 L1 probe per push — measurably cheaper than both a
-     * linear rescan of collected candidates (O(R^2) compares) and the
-     * per-slot generation-stamp array it replaced, whose random
-     * read-modify-writes stalled the walk and wasted host cache on
-     * 4 bytes per line. Mutable because victimCandidates() is
-     * logically const.
+     * Replacement-walk dedup: the calling thread's visited bitmap,
+     * grown to at least `words` 64-bit words (one bit per slot) and
+     * all zero between walks — a walk sets the bits of the slots it
+     * pushes and clears them after by revisiting those slots, so no
+     * per-walk fill is needed. 64-bit words keep its stores from
+     * aliasing the walk's other state the way byte stores would. A
+     * bit test is one load, usually already in the host cache, and
+     * no data-dependent probe loop.
+     *
+     * One bitmap per thread, shared by every array the thread walks,
+     * rather than one per array: a per-array bitmap is a small heap
+     * block allocated between each array's large ones, and with
+     * arrays built and freed per simulated mix those small blocks
+     * pinned the heap apart — a moses mix's peak RSS rose from 4.9
+     * to 6.0 MB.
      */
-    mutable std::vector<std::uint32_t> dedup_;
-    std::uint32_t dedupMask_ = 0;
-    static constexpr std::uint32_t kDedupEmpty = ~0u;
+    static std::uint64_t *walkBitmap(std::size_t words);
 
     /** lookup() memo: the accessed address's own way slots. */
     mutable std::vector<std::uint64_t> probeSlots_;
